@@ -1,10 +1,8 @@
-// A4 (part 1): microbenchmarks of the execution substrates — event kernel
+// A4 (part 1): microbenchmarks of the execution substrates — event queue
 // throughput, EFSM dispatch, expression evaluation, log append/parse.
 #include "bench_util.hpp"
-#include "efsm/machine.hpp"
 #include "efsm/program.hpp"
 #include "sim/event.hpp"
-#include "sim/kernel.hpp"
 #include "sim/log.hpp"
 #include "uml/model.hpp"
 
@@ -17,46 +15,9 @@ void print_header() {
   std::cout << "(tool-scalability substrate: events, transitions, log lines)\n";
 }
 
-void BM_KernelScheduleAndRun(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  for (auto _ : state) {
-    sim::Kernel kernel;
-    std::size_t fired = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      kernel.schedule_at(i * 7 % 1000, [&fired] { ++fired; });
-    }
-    kernel.run(1000);
-    benchmark::DoNotOptimize(fired);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_KernelScheduleAndRun)->Arg(1000)->Arg(100000)->Unit(benchmark::kMicrosecond);
-
 // Run-to-completion steps show up as zero-delay self-schedules; this is the
-// bucket fast path (no heap sift at all).
-void BM_KernelZeroDelayCascade(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  for (auto _ : state) {
-    sim::Kernel kernel;
-    std::size_t fired = 0;
-    std::function<void()> step = [&] {
-      if (++fired < n) kernel.schedule_at(kernel.now(), step);
-    };
-    kernel.schedule_at(0, step);
-    kernel.run(10);
-    benchmark::DoNotOptimize(fired);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_KernelZeroDelayCascade)->Arg(10000)->Unit(benchmark::kMicrosecond);
-
-// POD counterpart of the cascade above: the EventQueue hands back 16-byte
-// records instead of closures, so the whole loop is schedule/poll with no
-// allocation. Registered adjacent to its closure twin — run with
-// --benchmark_repetitions=N --benchmark_enable_random_interleaving for an
-// interleaved A/B comparison (medians go into BENCH_sim.json).
+// bucket fast path (no heap sift at all). The queue hands back 16-byte
+// records, so the whole loop is schedule/poll with no allocation.
 void BM_EventQueueZeroDelayCascade(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   for (auto _ : state) {
@@ -79,26 +40,7 @@ BENCHMARK(BM_EventQueueZeroDelayCascade)
     ->Unit(benchmark::kMicrosecond);
 
 // Many events on few distinct timestamps: dispatch cost is dominated by
-// moving the handlers out of the heap, not by sift depth.
-void BM_KernelSameTimeBurst(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  for (auto _ : state) {
-    sim::Kernel kernel;
-    kernel.reserve(n);
-    std::size_t fired = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      kernel.schedule_at(1 + i % 4, [&fired] { ++fired; });
-    }
-    kernel.run(10);
-    benchmark::DoNotOptimize(fired);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_KernelSameTimeBurst)->Arg(10000)->Unit(benchmark::kMicrosecond);
-
-// POD counterpart of the burst: same four timestamps, heap of flat Entry
-// records instead of heap-allocated std::function handlers.
+// moving records out of the heap, not by sift depth.
 void BM_EventQueueSameTimeBurst(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   for (auto _ : state) {
@@ -138,8 +80,9 @@ void BM_ExprEval(benchmark::State& state) {
 }
 BENCHMARK(BM_ExprEval);
 
-// Bytecode counterpart of BM_ExprEval: the same expression lowered once to
-// an efsm::Program and run over a flat slot file.
+// Bytecode counterpart of BM_ExprEval (the reference evaluator): the same
+// expression lowered once to an efsm::Program and run over a flat slot
+// file.
 void BM_ProgramEval(benchmark::State& state) {
   const auto expr =
       efsm::Expr::compile("pending > 0 && slotcnt % 8 == 0 || len * 4 > 64");
@@ -157,31 +100,8 @@ void BM_ProgramEval(benchmark::State& state) {
 }
 BENCHMARK(BM_ProgramEval);
 
-void BM_EfsmDispatch(benchmark::State& state) {
-  uml::Model model("m");
-  auto& sig = model.create_signal("S");
-  sig.add_parameter("x", "int");
-  auto& cls = model.create_class("C", nullptr, true);
-  model.add_port(cls, "in").provide(sig);
-  auto& sm = model.create_behavior(cls);
-  sm.declare_variable("n", 0);
-  auto& idle = model.add_state(sm, "Idle", true);
-  model.add_transition(sm, idle, idle, sig, "in")
-      .set_guard("x > 0")
-      .add_effect(uml::Action::assign("n", "n + x"))
-      .add_effect(uml::Action::compute("10"));
-  efsm::Instance inst(sm, "i");
-  inst.start();
-  const efsm::Event ev{&sig, "in", {5}};
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(inst.deliver(ev));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_EfsmDispatch);
-
-// Bytecode counterpart of BM_EfsmDispatch: the identical machine lowered to
-// a CompiledMachine, the step driven through a CompiledInstance.
+// One guarded signal step with a parameter, an assignment and a compute
+// action, on a CompiledInstance.
 void BM_EfsmDispatchCompiled(benchmark::State& state) {
   uml::Model model("m");
   auto& sig = model.create_signal("S");

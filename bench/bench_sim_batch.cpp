@@ -1,8 +1,7 @@
 // End-to-end co-simulation benchmarks for the compiled core: the TUTMAC
-// case study run through the AST interpreter path and the bytecode path
-// (same engine, different EFSM backend), plus BatchRunner thread scaling
-// over one shared CompiledModel image. On a single-core container the
-// scaling shows up as CPU-per-scenario, not wall clock.
+// case study on the bytecode interpreter, model lowering, and BatchRunner
+// thread scaling over one shared CompiledModel image. On a single-core
+// container the scaling shows up as CPU-per-scenario, not wall clock.
 #include <memory>
 #include <vector>
 
@@ -21,7 +20,7 @@ constexpr sim::Time kHorizon = 100'000'000;  // 100 ms of modelled time
 
 void print_header() {
   bench::banner("A7: compiled simulation core — TUTMAC end-to-end + batch");
-  std::cout << "(AST vs bytecode EFSM backend; batch over one shared image)\n";
+  std::cout << "(bytecode EFSM backend; batch over one shared image)\n";
 }
 
 tutmac::System& shared_system() {
@@ -33,24 +32,7 @@ tutmac::System& shared_system() {
   return sys;
 }
 
-// Baseline path: SystemView constructor, AST efsm::Instance per process.
-void BM_TutmacEndToEndAst(benchmark::State& state) {
-  tutmac::System& sys = shared_system();
-  const mapping::SystemView view(*sys.model);
-  sim::Config config;
-  config.horizon = kHorizon;
-  for (auto _ : state) {
-    sim::Simulation simulation(view, config);
-    sys.inject_workload(simulation);
-    simulation.run();
-    benchmark::DoNotOptimize(simulation.events_dispatched());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_TutmacEndToEndAst)->Unit(benchmark::kMillisecond);
-
-// Compiled path: one shared CompiledModel, bytecode CompiledInstance per
-// process. Registered adjacent to the AST twin for interleaved A/B runs.
+// One shared CompiledModel, a bytecode CompiledInstance per process.
 void BM_TutmacEndToEndCompiled(benchmark::State& state) {
   tutmac::System& sys = shared_system();
   const mapping::SystemView view(*sys.model);

@@ -67,9 +67,8 @@ struct NativeSource {
   std::vector<std::uint32_t> proc_machine;  ///< process index -> machine index
 };
 
-/// Emits the native translation unit for `model` (which must carry bytecode
-/// images, i.e. CompiledModel::build()). Deterministic: equal models emit
-/// byte-identical source.
+/// Emits the native translation unit for `model`. Deterministic: equal
+/// models emit byte-identical source.
 NativeSource emit_native(const sim::CompiledModel& model);
 
 /// Compiler / cache knobs for NativeImage::build.

@@ -24,7 +24,6 @@
 #include <limits>
 #include <map>
 #include <set>
-#include <stdexcept>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -714,11 +713,6 @@ class MachineEmitter {
 }  // namespace
 
 NativeSource emit_native(const sim::CompiledModel& model) {
-  if (!model.has_machines() && !model.procs().empty()) {
-    throw std::invalid_argument(
-        "emit_native requires a CompiledModel with bytecode images "
-        "(CompiledModel::build)");
-  }
   NativeSource src;
   std::unordered_map<const efsm::CompiledMachine*, std::uint32_t> indices;
   std::vector<const efsm::CompiledMachine*> machines;

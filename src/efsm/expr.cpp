@@ -254,12 +254,4 @@ std::vector<std::string> Expr::identifiers() const {
   return {set.begin(), set.end()};
 }
 
-const Expr& ExprCache::get(std::string_view text) {
-  auto it = cache_.find(text);
-  if (it == cache_.end()) {
-    it = cache_.emplace(std::string(text), Expr::compile(text)).first;
-  }
-  return it->second;
-}
-
 }  // namespace tut::efsm

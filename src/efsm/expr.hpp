@@ -3,8 +3,10 @@
 // The paper models behaviour with "statechart diagrams combined with the UML
 // 2.0 textual notation". This is our textual notation: a small, total,
 // side-effect-free integer expression language used in transition guards,
-// Assign/Compute/SetTimer actions and send arguments. It is interpreted by
-// the EFSM runtime and translated one-to-one to C by the code generator.
+// Assign/Compute/SetTimer actions and send arguments. The EFSM runtime runs
+// it lowered to efsm::Program bytecode (Expr::eval is the reference
+// evaluator the bytecode is tested against), and the code generator
+// translates it one-to-one to C.
 //
 // Grammar (C precedence):
 //   expr   := or ('?' expr ':' expr)?
@@ -25,7 +27,6 @@
 #include <stdexcept>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 namespace tut::efsm {
@@ -100,23 +101,6 @@ struct Expr::Node {
   std::shared_ptr<const Node> a, b, c;
 
   long eval(const Env& env) const;
-};
-
-/// A compile-on-first-use cache, used by the runtime so each guard/action
-/// string is parsed once per process. Lookups are heterogeneous: a hit costs
-/// one hash of the string_view, never a temporary std::string.
-class ExprCache {
-public:
-  const Expr& get(std::string_view text);
-
-private:
-  struct Hash {
-    using is_transparent = void;
-    std::size_t operator()(std::string_view s) const noexcept {
-      return std::hash<std::string_view>{}(s);
-    }
-  };
-  std::unordered_map<std::string, Expr, Hash, std::equal_to<>> cache_;
 };
 
 }  // namespace tut::efsm

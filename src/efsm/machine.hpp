@@ -1,21 +1,21 @@
-// EFSM runtime: executes uml::StateMachine behaviours as asynchronous
-// communicating extended finite state machines.
+// EFSM step surface: the values exchanged between the co-simulator and the
+// executor that steps an application process's state machine.
 //
-// An Instance holds the extended state (current state + integer variables)
-// of one application process. Delivery of a signal or timer event fires the
-// first eligible transition (declaration order, guard satisfied), executes
-// its effect actions plus the target state's entry actions, then chains any
-// eligible completion transitions. The instance does not own time or
-// communication: computation cycles, outgoing sends and timer requests are
-// returned in a StepResult for the caller (the co-simulator, or the simple
-// Executor below) to realize.
+// Delivery of a signal or timer event fires the first eligible transition
+// (declaration order, guard satisfied), executes its effect actions plus the
+// target state's entry actions, then chains any eligible completion
+// transitions. The executor does not own time or communication:
+// computation cycles, outgoing sends and timer requests are returned in a
+// StepResult for the co-simulator to realize. Executors are the bytecode
+// interpreter (efsm::CompiledInstance) and out-of-line backends behind
+// sim::ProcExecutor.
 #pragma once
 
+#include <cstddef>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "efsm/expr.hpp"
-#include "uml/statemachine.hpp"
 #include "uml/structure.hpp"
 
 namespace tut::efsm {
@@ -56,61 +56,6 @@ struct StepResult {
 class LivelockError : public std::runtime_error {
 public:
   using std::runtime_error::runtime_error;
-};
-
-/// One executable state machine instance.
-class Instance {
-public:
-  /// Binds to a behaviour. `name` identifies the instance in diagnostics
-  /// (normally the application process name). Call start() before use.
-  Instance(const uml::StateMachine& sm, std::string name);
-
-  /// Enters the initial state (running entry actions and completion
-  /// transitions). Returns what that produced.
-  StepResult start();
-
-  /// Forgets all extended state (current state and variables) and re-enters
-  /// the initial state, as if the instance were freshly constructed. Used by
-  /// the co-simulator's watchdog recovery to restart a hung process.
-  StepResult reset();
-
-  /// Rewinds to the freshly-constructed state — not started, declared
-  /// variables at their initial values — without entering the initial state
-  /// (unlike reset()). The parsed-expression cache is kept; it is keyed on
-  /// immutable behaviour text, so reuse cannot change results.
-  void rewind();
-
-  /// Delivers a signal event. If no transition matches, the event is
-  /// discarded (UML semantics for unhandled signal triggers) and
-  /// `fired == false`.
-  StepResult deliver(const Event& event);
-
-  /// Delivers a timer expiry.
-  StepResult timer_fired(const std::string& timer);
-
-  // -- introspection ----------------------------------------------------------
-  const std::string& name() const noexcept { return name_; }
-  const uml::StateMachine& behavior() const noexcept { return *sm_; }
-  const uml::State* state() const noexcept { return state_; }
-  long variable(const std::string& name) const;
-  const Env& variables() const noexcept { return vars_; }
-  bool started() const noexcept { return state_ != nullptr; }
-
-private:
-  const uml::Transition* find_transition(const Event* event,
-                                         const std::string& timer,
-                                         const Env& env) const;
-  void execute_actions(const std::vector<uml::Action>& actions, const Env& env,
-                       StepResult& result);
-  void enter(const uml::State& state, StepResult& result);
-  void run_completions(StepResult& result);
-  Env make_env(const Event* event) const;
-
-  const uml::StateMachine* sm_;
-  std::string name_;
-  const uml::State* state_ = nullptr;
-  Env vars_;
-  ExprCache exprs_;
 };
 
 }  // namespace tut::efsm

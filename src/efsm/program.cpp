@@ -16,7 +16,7 @@ namespace tut::efsm {
 /// operand-stack depth: a node's result lands in `dst`, its second operand
 /// (if any) in `dst + 1`. Short-circuit forms become forward jumps patched
 /// once the skipped code is emitted, so operand evaluation order — and which
-/// EvalError surfaces first — is exactly the AST interpreter's.
+/// EvalError surfaces first — is exactly Expr::eval's.
 class ProgramCompiler {
  public:
   ProgramCompiler(Program& p, const Program::SlotMap& slots)
@@ -103,7 +103,7 @@ class ProgramCompiler {
     emit({op, dst, dst, static_cast<std::uint16_t>(dst + 1)});
   }
 
-  // The AST interpreter evaluates the divisor first and throws on zero
+  // Expr::eval evaluates the divisor first and throws on zero
   // before ever touching the dividend; compile in the same order.
   void division(const Expr::Node& n, Program::Op op, Program::Op chk,
                 std::uint16_t dst) {
@@ -226,7 +226,7 @@ std::uint16_t CompiledMachine::intern_slot(const std::string& name) {
 Program CompiledMachine::lower(const std::string& text) {
   const Expr expr = Expr::compile(text);
   // Intern every referenced identifier so reads hit the slot file and the
-  // per-slot defined bit reproduces the AST path's lazy unknown-identifier
+  // per-slot defined bit reproduces Expr::eval's lazy unknown-identifier
   // errors (dynamic variables created by Assign later become defined).
   Program::SlotMap map;
   for (const std::string& id : expr.identifiers()) {
@@ -268,7 +268,7 @@ CompiledMachine::Action CompiledMachine::lower_action(const uml::Action& a) {
 
 CompiledMachine::CompiledMachine(const uml::StateMachine& sm) : sm_(&sm) {
   // Declared variables first: initials are applied in declaration order
-  // (later duplicates win, matching the AST path's map assignment).
+  // (later duplicates win).
   for (const auto& [var, initial] : sm.variables()) {
     initials_.emplace_back(intern_slot(var), initial);
   }
@@ -320,8 +320,8 @@ CompiledMachine::CompiledMachine(const uml::StateMachine& sm) : sm_(&sm) {
     }
   }
 
-  // Outgoing dispatch tables in the declaration-priority order the AST
-  // runtime uses (uml::StateMachine::outgoing).
+  // Outgoing dispatch tables in declaration-priority order
+  // (uml::StateMachine::outgoing).
   for (const uml::State* s : sm.states()) {
     std::vector<std::uint32_t>& out = states_[state_index.at(s)].outgoing;
     for (const uml::Transition* t : sm.outgoing(*s)) {
@@ -473,9 +473,9 @@ void CompiledInstance::run_completions(StepResult& result) {
 
 void CompiledInstance::restore_overlay() {
   // Reverse order so a parameter name listed twice restores the original
-  // value; slots assigned during this step keep their assigned value (the
-  // AST path writes assignments through to the persistent variables while
-  // parameters live only in the per-step working environment).
+  // value; slots assigned during this step keep their assigned value
+  // (assignments write through to the persistent variables, while
+  // parameters live only for the triggering transition's effects).
   for (auto it = overlay_.rbegin(); it != overlay_.rend(); ++it) {
     if (slot_stamp_[it->slot] == step_) continue;
     slots_[it->slot] = it->value;

@@ -12,12 +12,14 @@
 // current state) stepping over a shared read-only CompiledMachine — one
 // machine image serves every process and every scenario of a batch run.
 //
-// Semantics are pinned to the AST interpreter (efsm::Instance): identical
-// StepResults, identical laziness (short-circuit &&/||/?: skip evaluation,
-// so an unknown identifier or division by zero only throws when the AST
-// path would), identical error messages. The only divergence is *when*
-// malformed expression text surfaces: the AST path throws ExprError at
-// first evaluation, the compiled path at CompiledMachine construction.
+// CompiledInstance is the simulator's one interpreted EFSM executor; the
+// native backend (sim::ProcExecutor) is checked against it in lock step.
+// Expression semantics are pinned to Expr::eval: identical values,
+// identical laziness (short-circuit &&/||/?: skip evaluation, so an unknown
+// identifier or division by zero only throws when Expr::eval would) and
+// identical error messages. Malformed expression text throws ExprError at
+// CompiledMachine construction — and so when a sim::CompiledModel or a
+// sim::Simulation is built — never at first evaluation.
 #pragma once
 
 #include <cstdint>
@@ -77,7 +79,7 @@ class Program {
 
   /// Identifier-to-slot layout used at compile time. Identifiers absent
   /// from the map compile to Missing (they throw if and when evaluated,
-  /// mirroring the AST interpreter's lazy unknown-identifier errors).
+  /// mirroring Expr::eval's lazy unknown-identifier errors).
   using SlotMap = std::unordered_map<std::string, std::uint16_t>;
 
   /// Lowers `expr` against `slots`.
@@ -121,7 +123,7 @@ class Program {
 class CompiledMachine {
  public:
   /// Lowers `sm`. Throws ExprError on malformed expression text anywhere in
-  /// the machine (the AST path would defer that to first evaluation).
+  /// the machine.
   explicit CompiledMachine(const uml::StateMachine& sm);
 
   struct Action {
@@ -157,7 +159,7 @@ class CompiledMachine {
     return transitions_;
   }
   /// Initial state index; kNoState when the machine has none (start() then
-  /// throws, exactly like the AST path).
+  /// throws std::logic_error).
   static constexpr std::uint32_t kNoState = 0xffffffffu;
   std::uint32_t initial_state() const noexcept { return initial_; }
 
@@ -199,8 +201,8 @@ class CompiledMachine {
 };
 
 /// Mutable execution state of one process over a shared CompiledMachine.
-/// The API mirrors efsm::Instance; StepResults are identical for identical
-/// event sequences.
+/// Stepping before start() throws std::logic_error; an unhandled signal or
+/// stale timer is discarded (`fired == false`).
 class CompiledInstance {
  public:
   CompiledInstance(const CompiledMachine& machine, std::string name);
@@ -225,7 +227,7 @@ class CompiledInstance {
   /// Current state name (empty before start()).
   const std::string& state_name() const;
   /// Value of a persistent variable (declared, or created by an Assign).
-  /// Throws std::out_of_range like Instance::variable.
+  /// Throws std::out_of_range for unknown names.
   long variable(const std::string& name) const;
 
  private:

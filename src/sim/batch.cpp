@@ -4,6 +4,8 @@
 #include <stdexcept>
 #include <thread>
 
+#include "sim/fnv.hpp"
+
 namespace tut::sim {
 
 namespace {
@@ -47,15 +49,6 @@ BatchRunner::BatchRunner(std::shared_ptr<const BackendImage> backend,
   threads_ = resolve_threads(options_);
 }
 
-std::uint64_t BatchRunner::hash_text(std::string_view text) noexcept {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  for (const char c : text) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
-
 BatchResult BatchRunner::run_one(const BatchScenario& scenario,
                                  std::unique_ptr<Simulation>& context,
                                  std::string& scratch) const {
@@ -90,7 +83,7 @@ BatchResult BatchRunner::run_one(const BatchScenario& scenario,
     // into retained logs. Resident log memory is O(threads), never O(runs).
     scratch.clear();
     simulation.log().to_text(scratch);
-    result.log_hash = hash_text(scratch);
+    result.log_hash = fnv1a(scratch);
     if (options_.keep_logs) {
       if (options_.profile.keep_log_bytes != 0 &&
           scratch.size() > options_.profile.keep_log_bytes) {

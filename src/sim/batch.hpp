@@ -41,7 +41,7 @@ struct BatchResult {
   Time end_time = 0;
   std::uint64_t events = 0;     ///< kernel events dispatched
   std::size_t records = 0;      ///< simulation log records
-  std::uint64_t log_hash = 0;   ///< FNV-1a of the rendered log text
+  std::uint64_t log_hash = 0;   ///< fnv1a of the rendered log (= log_digest)
   std::string log_text;         ///< rendered log (BatchOptions::keep_logs)
   std::map<std::string, PeStats> pe_stats;
   std::map<std::string, SegmentStats> segment_stats;
@@ -91,9 +91,6 @@ class BatchRunner {
   /// BatchResult::error, not thrown.
   std::vector<BatchResult> run(
       const std::vector<BatchScenario>& scenarios) const;
-
-  /// FNV-1a 64-bit hash used for BatchResult::log_hash.
-  static std::uint64_t hash_text(std::string_view text) noexcept;
 
  private:
   /// Runs one scenario on a reusable per-worker context (constructed on the

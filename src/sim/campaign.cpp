@@ -14,6 +14,7 @@
 #include <thread>
 #include <type_traits>
 
+#include "sim/fnv.hpp"
 #include "xml/arena.hpp"
 #include "xml/cursor.hpp"
 
@@ -22,30 +23,8 @@ namespace tut::sim {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Bytes and hashes
+// Bytes
 // ---------------------------------------------------------------------------
-
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ull;
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ull;
-
-/// Incremental FNV-1a accumulator; every campaign hash (log digest, spec
-/// fingerprint, rolling aggregate digest) goes through this one definition.
-struct Fnv {
-  std::uint64_t h = kFnvOffset;
-  void bytes(const void* data, std::size_t n) noexcept {
-    const auto* p = static_cast<const unsigned char*>(data);
-    for (std::size_t i = 0; i < n; ++i) h = (h ^ p[i]) * kFnvPrime;
-  }
-  void str(std::string_view s) noexcept {
-    bytes(s.data(), s.size());
-    h = (h ^ 0xffu) * kFnvPrime;  // length delimiter: "ab"+"c" != "a"+"bc"
-  }
-  void u64(std::uint64_t v) noexcept {
-    unsigned char b[8];
-    for (int i = 0; i < 8; ++i) b[i] = static_cast<unsigned char>(v >> (8 * i));
-    bytes(b, 8);
-  }
-};
 
 // Serialized integers are explicit little-endian so checkpoints, part files
 // and sketch blobs compare byte-equal across hosts.
@@ -203,9 +182,7 @@ P2Quantile P2Quantile::deserialize(std::string_view bytes,
 std::uint64_t log_digest(const SimulationLog& log, std::string& scratch) {
   scratch.clear();
   log.to_text(scratch);
-  Fnv f;
-  f.bytes(scratch.data(), scratch.size());
-  return f.h;
+  return fnv1a(scratch);
 }
 
 std::uint64_t log_digest(const SimulationLog& log) {
@@ -215,7 +192,7 @@ std::uint64_t log_digest(const SimulationLog& log) {
 
 void CampaignAggregate::add(const ScenarioSummary& s) {
   ++scenarios;
-  Fnv f;
+  Fnv1a f;
   f.h = digest;
   f.u64(s.index);
   f.u64(s.digest);
@@ -494,7 +471,7 @@ Scenario CampaignSpec::scenario(std::uint64_t index) const {
 }
 
 std::uint64_t CampaignSpec::fingerprint() const {
-  Fnv f;
+  Fnv1a f;
   f.str(name);
   f.u64(static_cast<std::uint64_t>(mode));
   f.u64(base_seed);
@@ -907,7 +884,7 @@ CampaignResult CampaignRunner::run(const CampaignSpec& spec,
   // never blend: mix them into the run fingerprint (not spec.fingerprint(),
   // which stays a pure function of the sweep).
   const std::uint64_t fingerprint = [&] {
-    Fnv f;
+    Fnv1a f;
     f.h = spec.fingerprint();
     f.u64(options.profile.log_records);
     f.u64(options.profile.event_queue);
@@ -1114,7 +1091,7 @@ CampaignResult CampaignRunner::run(const CampaignSpec& spec,
         if (!backends_.empty()) {
           s.backend = backends_[sc.image]->content_hash();
         }
-        Fnv f;
+        Fnv1a f;
         f.str(e.what());
         s.error = f.h;
         s.rejection =
@@ -1129,7 +1106,7 @@ CampaignResult CampaignRunner::run(const CampaignSpec& spec,
         if (!backends_.empty()) {
           s.backend = backends_[sc.image]->content_hash();
         }
-        Fnv f;
+        Fnv1a f;
         f.str(e.what());
         s.error = f.h;
       }

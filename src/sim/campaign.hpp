@@ -35,6 +35,7 @@
 
 #include "sim/backend.hpp"
 #include "sim/compiled.hpp"
+#include "sim/fnv.hpp"
 #include "sim/simulator.hpp"
 
 namespace tut::sim {
@@ -128,7 +129,7 @@ struct CampaignAggregate {
   std::uint64_t rejected_queue = 0;  ///< [envelope.queue.full]
   std::uint64_t rejected_other = 0;  ///< arena / concurrency / unknown
   /// Rolling FNV-1a over (index, digest) pairs in index order.
-  std::uint64_t digest = 0xcbf29ce484222325ull;
+  std::uint64_t digest = Fnv1a::kOffset;
   std::uint64_t events = 0;
   std::uint64_t records = 0;
   std::uint64_t drops = 0;

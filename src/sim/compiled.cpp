@@ -43,7 +43,7 @@ long wrapper_max_time(const mapping::SystemView& sys,
 std::shared_ptr<const CompiledModel> CompiledModel::build(
     const mapping::SystemView& sys) {
   std::vector<std::string> defects;
-  std::shared_ptr<CompiledModel> model = build_collect(sys, defects, true);
+  std::shared_ptr<CompiledModel> model = build_collect(sys, defects);
   if (!defects.empty()) {
     std::string msg = "model is not executable (" +
                       std::to_string(defects.size()) + " defect" +
@@ -55,8 +55,7 @@ std::shared_ptr<const CompiledModel> CompiledModel::build(
 }
 
 std::shared_ptr<CompiledModel> CompiledModel::build_collect(
-    const mapping::SystemView& sys, std::vector<std::string>& defects,
-    bool compile_machines) {
+    const mapping::SystemView& sys, std::vector<std::string>& defects) {
   const uml::Class* app = sys.app().application();
   if (app == nullptr) {
     throw std::runtime_error("simulation requires an <<Application>> class");
@@ -126,16 +125,14 @@ std::shared_ptr<CompiledModel> CompiledModel::build_collect(
     proc.home_pe = pe_of_part.at(target);
     proc.hw = part->tagged_value("ProcessType") == "hardware";
     proc.priority = sys.process_priority(*part);
-    if (compile_machines) {
-      auto it = machine_of.find(proc.behavior);
-      if (it == machine_of.end()) {
-        model->machines_.push_back(
-            std::make_unique<efsm::CompiledMachine>(*proc.behavior));
-        it = machine_of.emplace(proc.behavior, model->machines_.back().get())
-                 .first;
-      }
-      proc.machine = it->second;
+    auto it = machine_of.find(proc.behavior);
+    if (it == machine_of.end()) {
+      model->machines_.push_back(
+          std::make_unique<efsm::CompiledMachine>(*proc.behavior));
+      it = machine_of.emplace(proc.behavior, model->machines_.back().get())
+               .first;
     }
+    proc.machine = it->second;
     for (std::string& port : send_ports(*proc.behavior)) {
       PortDest pd;
       pd.port = std::move(port);

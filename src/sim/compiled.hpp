@@ -62,8 +62,7 @@ class CompiledModel {
     const uml::Property* part = nullptr;
     std::string name;
     const uml::StateMachine* behavior = nullptr;
-    /// Bytecode image of `behavior`; nullptr when the model was built for
-    /// the AST backend only (Simulation's default path).
+    /// Bytecode image of `behavior` (shared by every process running it).
     const efsm::CompiledMachine* machine = nullptr;
     std::uint32_t home_pe = 0;  ///< mapped PE (failover returns here)
     bool hw = false;            ///< ProcessType "hardware"
@@ -74,7 +73,7 @@ class CompiledModel {
   /// Lowers the system. Throws std::runtime_error with the combined
   /// "model is not executable" diagnostic on defects (same messages as
   /// constructing a Simulation), and efsm::ExprError on malformed
-  /// expression text (which the AST path would defer to first evaluation).
+  /// expression text.
   static std::shared_ptr<const CompiledModel> build(
       const mapping::SystemView& sys);
 
@@ -99,19 +98,15 @@ class CompiledModel {
   std::int32_t proc_index(std::string_view name) const;
   std::int32_t proc_of_part(const uml::Property* part) const;
 
-  bool has_machines() const noexcept { return !machines_.empty(); }
-
  private:
   friend class Simulation;
   CompiledModel() = default;
 
   /// Builds without throwing on model defects (they are appended to
-  /// `defects` in the same order Simulation used to collect them).
-  /// `compile_machines` controls bytecode lowering: the AST backend skips
-  /// it so malformed expression text keeps failing lazily.
+  /// `defects`, so Simulation can merge them with fault-plan defects into
+  /// one diagnostic). Malformed expression text still throws ExprError.
   static std::shared_ptr<CompiledModel> build_collect(
-      const mapping::SystemView& sys, std::vector<std::string>& defects,
-      bool compile_machines);
+      const mapping::SystemView& sys, std::vector<std::string>& defects);
 
   const mapping::SystemView* sys_ = nullptr;
   std::unique_ptr<efsm::Router> router_;

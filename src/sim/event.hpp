@@ -1,20 +1,19 @@
-// POD event queue: the compiled replacement for the closure Kernel.
+// The discrete-event kernel: a time-ordered queue of POD event records with
+// deterministic FIFO tie-breaking for simultaneous events.
 //
-// Kernel stores one heap-allocated std::function per event; at the event
-// rates the exploration engine drives (millions of events per candidate
-// mapping), allocation and indirect-call overhead dominate the hot loop.
-// EventQueue stores a 16-byte tagged record instead — a kind enum plus
-// dense indices into the Simulation's flat tables and one inline payload
-// word — and hands records back to the caller, which dispatches them with a
-// switch. No allocation per event, a moveable flat heap, and handlers
-// inlined into one dispatch loop.
+// Each event is a 16-byte tagged record — a kind enum plus dense indices
+// into the Simulation's flat tables and one inline payload word — handed
+// back to the caller, which dispatches it with a switch. At the event rates
+// campaigns and the exploration engine drive (millions of events per
+// candidate mapping) that means no allocation per event, a moveable flat
+// heap, and handlers inlined into one dispatch loop.
 //
-// Ordering is pinned to Kernel: a (time, seq) binary min-heap where seq is
-// assigned at scheduling time, plus a FIFO bucket for events due exactly at
-// now() (every heap entry due at now() predates every bucket entry, so
-// heap-before-bucket is exactly seq order). poll() is Kernel::run's loop
-// body turned inside out; driving it to exhaustion yields the identical
-// dispatch sequence, final now(), and past-time scheduling errors.
+// Ordering is (time, seq): a binary min-heap where seq is assigned at
+// scheduling time, plus a FIFO bucket for events due exactly at now()
+// (zero-delay scheduling, the dominant pattern in run-to-completion steps,
+// bypasses the heap). Every heap entry due at now() predates every bucket
+// entry, so heap-before-bucket is exactly seq order, and whole-simulation
+// runs are reproducible.
 #pragma once
 
 #include <algorithm>
@@ -24,7 +23,7 @@
 #include <string>
 #include <vector>
 
-#include "sim/kernel.hpp"  // Time
+#include "sim/time.hpp"
 #include "sim/resource.hpp"
 
 namespace tut::sim {
@@ -55,14 +54,14 @@ struct EventRec {
   std::uint64_t c = 0;
 };
 
-/// Time-ordered queue of EventRec with Kernel's deterministic FIFO
-/// tie-breaking for simultaneous events.
+/// Time-ordered queue of EventRec; events scheduled for the same time are
+/// dispatched in scheduling order.
 class EventQueue {
  public:
   /// Schedules `ev` at absolute time `at`. Scheduling into the past is a
-  /// hard error: asserts in debug builds, throws std::logic_error in
-  /// release builds (same contract as Kernel::schedule_at). Defined inline:
-  /// schedule/poll are the per-event hot pair of the whole simulator.
+  /// hard error: asserts in debug builds, throws std::logic_error (naming
+  /// both times) in release builds. Defined inline: schedule/poll are the
+  /// per-event hot pair of the whole simulator.
   void schedule_at(Time at, EventRec ev) {
     assert(at >= now_ && "schedule_at: event time precedes queue now()");
     if (at < now_) {
@@ -90,8 +89,8 @@ class EventQueue {
 
   /// Pops the next event due at or before `horizon` into `out`, advancing
   /// now() as needed. Returns false when nothing further is due, leaving
-  /// now() == horizon (when it was behind). `while (q.poll(h, ev)) ...`
-  /// replays Kernel::run(h) exactly.
+  /// now() == horizon (when it was behind). Events exactly at the horizon
+  /// are still returned, including zero-delay events they schedule.
   bool poll(Time horizon, EventRec& out) {
     while (now_ <= horizon) {
       if (!heap_.empty() && heap_.front().at <= now_) {

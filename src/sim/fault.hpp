@@ -30,7 +30,8 @@
 #include <string_view>
 #include <vector>
 
-#include "sim/kernel.hpp"
+#include "sim/fnv.hpp"
+#include "sim/time.hpp"
 
 namespace tut::sim {
 
@@ -46,11 +47,7 @@ class FaultRng {
   }
   /// Stable 64-bit identity for a component name (FNV-1a).
   static std::uint64_t key(std::string_view name) noexcept {
-    std::uint64_t h = 0xcbf29ce484222325ull;
-    for (const char c : name) {
-      h = (h ^ static_cast<unsigned char>(c)) * 0x100000001b3ull;
-    }
-    return h;
+    return fnv1a(name);
   }
 
  private:
@@ -103,8 +100,9 @@ struct FaultPlan {
   /// ticks is reset to its initial EFSM state. 0 disables watchdogs.
   Time watchdog_timeout = 0;
   /// Bounded retry for transfers that hit a faulted segment or a bit error:
-  /// attempt k (1-based) waits retry_backoff << (k-1) ticks; after
-  /// max_retries failed attempts the transfer is dropped.
+  /// attempt k (1-based) waits retry_backoff << (k-1) ticks, saturating at
+  /// the largest Time (such a retry never resumes before any finite
+  /// horizon); after max_retries failed attempts the transfer is dropped.
   int max_retries = 4;
   Time retry_backoff = 200;
 

@@ -18,7 +18,7 @@
 #include <vector>
 
 #include "intern/intern.hpp"
-#include "sim/kernel.hpp"
+#include "sim/time.hpp"
 #include "sim/resource.hpp"
 
 namespace tut::sim {

@@ -28,7 +28,7 @@
 #include <string>
 #include <string_view>
 
-#include "sim/kernel.hpp"  // Time
+#include "sim/time.hpp"
 
 namespace tut::sim {
 

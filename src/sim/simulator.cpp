@@ -1,6 +1,7 @@
 #include "sim/simulator.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <optional>
 #include <stdexcept>
 #include <unordered_map>
@@ -22,6 +23,20 @@ Time cycles_to_ticks(long cycles, long freq_mhz) {
   return (c * 1000 + f - 1) / f;
 }
 
+/// When retry `attempt` (1-based) of a transfer resumes: `backoff <<
+/// (attempt - 1)` ticks after `now`, saturated at the largest Time. A huge
+/// backoff or retry budget therefore parks the retry past any horizon
+/// instead of shifting out of range or wrapping into the past.
+Time retry_time(Time now, Time backoff, int attempt) {
+  constexpr Time kMax = std::numeric_limits<Time>::max();
+  const auto shift = static_cast<unsigned>(attempt - 1);
+  Time delay = 0;
+  if (backoff != 0) {
+    delay = shift < 64 && backoff <= (kMax >> shift) ? backoff << shift : kMax;
+  }
+  return delay > kMax - now ? kMax : now + delay;
+}
+
 }  // namespace
 
 // The hot loop is a POD event queue (EventQueue) drained by the dispatch()
@@ -41,33 +56,23 @@ struct Simulation::Impl {
     std::uint32_t timer = 0;          // Timer (id into timer_names_)
   };
 
-  /// EFSM backend of one process: the AST interpreter (SystemView
-  /// constructor), the bytecode image (CompiledModel constructor), or an
+  /// EFSM executor of one process: the bytecode interpreter, or an
   /// out-of-line executor drawn from a BackendImage (e.g. dlopen'ed native
-  /// code). Exactly one of the three is set.
+  /// code). Exactly one of the two is set.
   struct Behavior {
-    std::optional<efsm::Instance> ast;
     std::optional<efsm::CompiledInstance> code;
     std::unique_ptr<ProcExecutor> ext;
 
-    efsm::StepResult start() {
-      return ast ? ast->start() : code ? code->start() : ext->start();
-    }
-    efsm::StepResult reset() {
-      return ast ? ast->reset() : code ? code->reset() : ext->reset();
-    }
+    efsm::StepResult start() { return code ? code->start() : ext->start(); }
+    efsm::StepResult reset() { return code ? code->reset() : ext->reset(); }
     efsm::StepResult deliver(const efsm::Event& e) {
-      return ast ? ast->deliver(e) : code ? code->deliver(e) : ext->deliver(e);
+      return code ? code->deliver(e) : ext->deliver(e);
     }
     efsm::StepResult timer_fired(const std::string& t) {
-      return ast      ? ast->timer_fired(t)
-             : code   ? code->timer_fired(t)
-                      : ext->timer_fired(t);
+      return code ? code->timer_fired(t) : ext->timer_fired(t);
     }
     void rewind() {
-      if (ast) {
-        ast->rewind();
-      } else if (code) {
+      if (code) {
         code->rewind();
       } else {
         ext->rewind();
@@ -169,7 +174,6 @@ struct Simulation::Impl {
     env_id_ = owner_.log_.intern_name(kEnvironment);
     unknown_sig_id_ = owner_.log_.intern_name("?");
     faults_on_ = !owner_.config_.faults.empty();
-    use_bytecode_ = model_->has_machines();
 
     pes_.reserve(model_->pes().size());
     for (const CompiledModel::PeInfo& info : model_->pes()) {
@@ -197,10 +201,8 @@ struct Simulation::Impl {
       proc.name_id = owner_.log_.intern_name(info.name);
       if (backend_) {
         proc.inst.ext = backend_->make_executor(proc.index);
-      } else if (use_bytecode_) {
-        proc.inst.code.emplace(*info.machine, info.name);
       } else {
-        proc.inst.ast.emplace(*info.behavior, info.name);
+        proc.inst.code.emplace(*info.machine, info.name);
       }
       proc.pe = info.home_pe;
       procs_.push_back(std::move(proc));
@@ -503,9 +505,9 @@ struct Simulation::Impl {
     }
     owner_.log_.retry_id(queue_.now(), x.from, signal_id(x.event.signal),
                          x.attempts);
-    const Time delay = plan.retry_backoff << (x.attempts - 1);
-    queue_.schedule_in(delay, {EventRec::Kind::RetryResume,
-                               static_cast<std::uint32_t>(index)});
+    queue_.schedule_at(
+        retry_time(queue_.now(), plan.retry_backoff, x.attempts),
+        {EventRec::Kind::RetryResume, static_cast<std::uint32_t>(index)});
   }
 
   /// True when the hop whose grant just completed must be re-sent: the
@@ -994,7 +996,6 @@ struct Simulation::Impl {
   Simulation& owner_;
   EventQueue queue_;
   bool started_ = false;
-  bool use_bytecode_ = false;
   std::uint64_t ready_counter_ = 0;
   bool faults_on_ = false;  // Config::faults is non-empty
   mapping::FailoverPolicy failover_;
@@ -1015,12 +1016,11 @@ struct Simulation::Impl {
 
 Simulation::Simulation(const mapping::SystemView& sys, Config config)
     : config_(config) {
-  // The AST path: lower the structure (routes, tags, ports) but keep the
-  // behaviours interpreted, so expression errors surface lazily exactly as
-  // before.
+  // Model defects are collected, not thrown, so they join the fault-plan
+  // defects in one diagnostic.
   std::vector<std::string> defects;
   std::shared_ptr<const CompiledModel> model =
-      CompiledModel::build_collect(sys, defects, /*compile_machines=*/false);
+      CompiledModel::build_collect(sys, defects);
   impl_ = std::make_unique<Impl>(std::move(model), *this, std::move(defects));
 }
 
@@ -1029,11 +1029,6 @@ Simulation::Simulation(std::shared_ptr<const CompiledModel> model,
     : config_(config) {
   if (model == nullptr) {
     throw std::invalid_argument("Simulation requires a non-null model");
-  }
-  if (!model->has_machines() && !model->procs().empty()) {
-    throw std::logic_error(
-        "CompiledModel was built without behaviour images; use "
-        "CompiledModel::build()");
   }
   impl_ = std::make_unique<Impl>(std::move(model), *this,
                                  std::vector<std::string>{});
@@ -1084,19 +1079,19 @@ void Simulation::run_until(Time horizon) { impl_->run_until(horizon); }
 
 Time Simulation::now() const noexcept { return impl_->queue_.now(); }
 
-const efsm::Instance& Simulation::instance(const std::string& process) const {
+const efsm::CompiledInstance& Simulation::instance(
+    const std::string& process) const {
   const std::int32_t index = impl_->model_->proc_index(process);
   if (index < 0) {
     throw std::out_of_range("no process named '" + process + "'");
   }
   const Impl::Proc& proc = impl_->procs_[index];
-  if (!proc.inst.ast.has_value()) {
-    throw std::logic_error(
-        "process '" + process +
-        "' runs a compiled behaviour image; Simulation::instance() requires "
-        "the SystemView constructor");
+  if (!proc.inst.code.has_value()) {
+    throw std::logic_error("process '" + process + "' runs on the '" +
+                           std::string(impl_->backend_->name()) +
+                           "' backend image; its state is not inspectable");
   }
-  return *proc.inst.ast;
+  return *proc.inst.code;
 }
 
 std::uint64_t Simulation::events_dispatched() const noexcept {

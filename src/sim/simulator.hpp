@@ -5,7 +5,9 @@
 // components.").
 //
 // The simulator executes every application process as an EFSM instance on
-// the platform component instance its group is mapped to:
+// the platform component instance its group is mapped to — the bytecode
+// interpreter (efsm::CompiledInstance) by default, or an out-of-line
+// behaviour image (sim::BackendImage, e.g. native code):
 //  - Processing elements run one transition at a time (run-to-completion),
 //    picking the pending process with the highest priority. A transition's
 //    Compute cycles take cycles/frequency wall time.
@@ -35,12 +37,11 @@
 #include <string>
 #include <vector>
 
-#include "efsm/machine.hpp"
-#include "efsm/router.hpp"
+#include "efsm/program.hpp"
 #include "mapping/mapping.hpp"
 #include "sim/fault.hpp"
-#include "sim/kernel.hpp"
 #include "sim/log.hpp"
+#include "sim/time.hpp"
 
 namespace tut::sim {
 
@@ -85,20 +86,22 @@ struct SegmentStats {
 /// environment workload, run, then read the log / stats.
 class Simulation {
 public:
-  /// Builds the executable system. Throws std::runtime_error when the model
-  /// is not executable: a process is unmapped, its target instance is not
-  /// attached to any segment while remote communication is required, or a
-  /// functional component lacks a behaviour. All defects (including fault
-  /// plan defects: malformed windows, unknown component names) are collected
-  /// into one multi-line diagnostic so the model can be fixed in one pass.
+  /// Builds the executable system, lowering it to a private CompiledModel
+  /// (the view must outlive the Simulation). Throws std::runtime_error when
+  /// the model is not executable: a process is unmapped, its target
+  /// instance is not attached to any segment while remote communication is
+  /// required, or a functional component lacks a behaviour. All defects
+  /// (including fault plan defects: malformed windows, unknown component
+  /// names) are collected into one multi-line diagnostic so the model can
+  /// be fixed in one pass. Malformed guard or action expression text throws
+  /// efsm::ExprError here, at construction, not when first evaluated.
   explicit Simulation(const mapping::SystemView& sys, Config config = {});
 
   /// Builds a simulation over a pre-lowered model image (CompiledModel::
-  /// build). Processes execute as bytecode (efsm::CompiledInstance) instead
-  /// of AST interpretation; the SimulationLog is byte-identical to the
-  /// SystemView constructor's. The model may be shared read-only by any
-  /// number of concurrent Simulations (see sim::BatchRunner); each keeps it
-  /// alive through the shared_ptr.
+  /// build); the SimulationLog is byte-identical to the SystemView
+  /// constructor's. The model may be shared read-only by any number of
+  /// concurrent Simulations (see sim::BatchRunner); each keeps it alive
+  /// through the shared_ptr.
   explicit Simulation(std::shared_ptr<const CompiledModel> model,
                       Config config = {});
 
@@ -144,8 +147,11 @@ public:
   const SimulationLog& log() const noexcept { return log_; }
   const Config& config() const noexcept { return config_; }
 
-  /// EFSM instance of a process (for white-box assertions in tests).
-  const efsm::Instance& instance(const std::string& process) const;
+  /// Read-only view of a process's interpreter state (current state name
+  /// and variables), for white-box assertions. Throws std::out_of_range for
+  /// an unknown process and std::logic_error for a process stepped by a
+  /// BackendImage, whose state lives outside the interpreter.
+  const efsm::CompiledInstance& instance(const std::string& process) const;
 
   const std::map<std::string, PeStats>& pe_stats() const noexcept {
     return pe_stats_;

@@ -14,6 +14,7 @@
 #include "sim/batch.hpp"
 #include "sim/campaign.hpp"
 #include "sim/compiled.hpp"
+#include "sim/fnv.hpp"
 #include "sim/simulator.hpp"
 #include "tutmac/tutmac.hpp"
 
@@ -166,8 +167,7 @@ TEST(BatchRunner, ReusedContextsMatchPerRunConstructionHashes) {
     Simulation fresh(shared_image(), scenarios[i].config);
     setup_scenario(fresh, Scenario{});
     fresh.run();
-    EXPECT_EQ(results[i].log_hash,
-              BatchRunner::hash_text(fresh.log().to_text()))
+    EXPECT_EQ(results[i].log_hash, log_digest(fresh.log()))
         << scenarios[i].name;
     EXPECT_TRUE(results[i].log_text.empty());  // hash-and-release default
   }
@@ -182,7 +182,7 @@ TEST(BatchRunner, KeepLogsRetainsRenderedText) {
   opt.keep_logs = true;
   const auto results = BatchRunner(shared_image(), opt).run({s});
   ASSERT_EQ(results.size(), 1u);
-  EXPECT_EQ(BatchRunner::hash_text(results[0].log_text), results[0].log_hash);
+  EXPECT_EQ(fnv1a(results[0].log_text), results[0].log_hash);
   EXPECT_NE(results[0].log_text.find("# tut-simlog v1"), std::string::npos);
 }
 
@@ -657,5 +657,5 @@ TEST(Campaign, LogDigestIsNameBasedNotInternIdBased) {
   SimulationLog b;
   b.run(10, "p1", 5, 3);
   EXPECT_EQ(log_digest(a), log_digest(b));
-  EXPECT_EQ(log_digest(a), BatchRunner::hash_text(a.to_text()));
+  EXPECT_EQ(log_digest(a), fnv1a(a.to_text()));
 }

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 
 #include "fixtures.hpp"
 #include "profiler/profiler.hpp"
@@ -56,6 +57,9 @@ TEST(FaultRng, DrawIsAPureFunction) {
 TEST(FaultRng, KeyIsStablePerName) {
   EXPECT_EQ(FaultRng::key("seg1"), FaultRng::key("seg1"));
   EXPECT_NE(FaultRng::key("seg1"), FaultRng::key("seg2"));
+  // Keys feed every bit-error draw, so they are part of the pinned logs:
+  // FNV-1a 64 of the name.
+  EXPECT_EQ(FaultRng::key("hibisegment1"), 0x39b404d81a0bea37ull);
 }
 
 TEST(FaultRng, DrawsAreRoughlyUniform) {
@@ -303,6 +307,57 @@ TEST(SegmentFault, LongOutageExhaustsRetriesAndDrops) {
   EXPECT_TRUE(delivered_after);
 }
 
+TEST(SegmentFault, HugeBackoffParksTheRetryPastTheHorizon) {
+  // now + backoff overflows Time: the retry must saturate at the largest
+  // Time instead of wrapping into the past.
+  test::MiniSystem sys;
+  FaultPlan plan;
+  plan.segment_faults.push_back({"seg1", 0, 0});  // never recovers
+  plan.retry_backoff = std::numeric_limits<Time>::max();
+  ASSERT_TRUE(plan.validate().empty());
+  std::unique_ptr<Simulation> simulation;
+  ASSERT_NO_THROW(simulation = run_mini(sys, plan, 40'000));
+  EXPECT_EQ(simulation->now(), 40'000u);
+  const auto retries = records_of(simulation->log(), LogRecord::Kind::Retry);
+  ASSERT_FALSE(retries.empty());
+  for (const LogRecord& r : retries) EXPECT_EQ(r.cycles, 1) << r.time;
+  EXPECT_TRUE(records_of(simulation->log(), LogRecord::Kind::Drop).empty());
+}
+
+TEST(SegmentFault, RetryBudgetBeyondShiftWidthEndsInDrop) {
+  // With backoff 1 the 65th attempt would shift by 64 bits. Both PEs fail
+  // right after the first Req is sent, so only that transfer keeps
+  // retrying; an unbounded horizon lets it run out of budget.
+  test::MiniSystem sys;
+  FaultPlan plan;
+  plan.segment_faults.push_back({"seg1", 0, 0});
+  plan.pe_faults.push_back({"cpu1", 1'150, 0});
+  plan.pe_faults.push_back({"cpu2", 1'150, 0});
+  plan.retry_backoff = 1;
+  plan.max_retries = 70;
+  ASSERT_TRUE(plan.validate().empty());
+  constexpr Time kForever = std::numeric_limits<Time>::max();
+  std::unique_ptr<Simulation> simulation;
+  ASSERT_NO_THROW(simulation = run_mini(sys, plan, kForever));
+  const auto& log = simulation->log();
+
+  const auto retries = records_of(log, LogRecord::Kind::Retry);
+  ASSERT_EQ(retries.size(), 70u);
+  for (std::size_t i = 0; i < retries.size(); ++i) {
+    EXPECT_EQ(retries[i].cycles, static_cast<long>(i + 1));
+    if (i > 0) EXPECT_GE(retries[i].time, retries[i - 1].time);
+  }
+  // Attempt 64 (2^63 ticks of backoff) saturates at the largest Time, so
+  // every later attempt is logged there.
+  EXPECT_LT(retries[63].time, kForever);
+  EXPECT_EQ(retries[64].time, kForever);
+  const auto drops = records_of(log, LogRecord::Kind::Drop);
+  ASSERT_EQ(drops.size(), 1u);
+  EXPECT_EQ(drops[0].process, "dsp1");
+  EXPECT_EQ(drops[0].signal, "Req");
+  EXPECT_EQ(drops[0].time, kForever);
+}
+
 TEST(BitErrors, CertainCorruptionDropsEveryTransfer) {
   test::MiniSystem sys;
   FaultPlan plan;
@@ -401,9 +456,9 @@ TEST(Watchdog, IdleProcessIsResetAndRestartsCleanly) {
   EXPECT_EQ(resets[0].time, 50'000u);
 
   // The reset re-entered the initial state.
-  const efsm::Instance& dsp2 = simulation->instance("dsp2");
-  ASSERT_NE(dsp2.state(), nullptr);
-  EXPECT_EQ(dsp2.state()->name(), "Idle");
+  const efsm::CompiledInstance& dsp2 = simulation->instance("dsp2");
+  ASSERT_TRUE(dsp2.started());
+  EXPECT_EQ(dsp2.state_name(), "Idle");
 }
 
 // ---------------------------------------------------------------------------

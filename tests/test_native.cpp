@@ -301,6 +301,10 @@ TEST(NativeBackend, TutmacLogByteIdentical) {
 
   EXPECT_EQ(interp.log().to_text(), native.log().to_text());
   EXPECT_EQ(interp.events_dispatched(), native.events_dispatched());
+  // Only the interpreter's process state is inspectable.
+  EXPECT_TRUE(interp.instance("rca").started());
+  EXPECT_THROW((void)native.instance("rca"), std::logic_error);
+  EXPECT_THROW((void)native.instance("nosuch"), std::out_of_range);
 }
 
 TEST(NativeBackend, TutmacFaultPlanLogByteIdentical) {

@@ -19,7 +19,6 @@
 #include "sim/campaign.hpp"
 #include "sim/compiled.hpp"
 #include "sim/event.hpp"
-#include "sim/kernel.hpp"
 #include "sim/log.hpp"
 #include "sim/resource.hpp"
 #include "sim/simulator.hpp"
@@ -302,20 +301,6 @@ TEST(QueueEnvelope, EventQueueOverflowThrowsBeforeMutation) {
   ASSERT_TRUE(q.poll(100, ev));
   q.schedule_at(q.now() + 1, EventRec{EventRec::Kind::Inject, 4, 0, 0});
   EXPECT_EQ(q.pending(), 3u);
-}
-
-TEST(QueueEnvelope, KernelSharesTheContract) {
-  Kernel k;
-  k.set_capacity(2);
-  k.schedule_at(1, [] {});
-  k.schedule_at(2, [] {});
-  try {
-    k.schedule_at(3, [] {});
-    FAIL() << "schedule beyond the envelope succeeded";
-  } catch (const EnvelopeError& e) {
-    EXPECT_EQ(e.tag(), "envelope.queue.full");
-  }
-  EXPECT_EQ(k.pending(), 2u);
 }
 
 TEST(QueueEnvelope, SimulationRejectsDeterministically) {

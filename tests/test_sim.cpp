@@ -1,70 +1,79 @@
-// Tests for the discrete-event kernel, the simulation log and the
+// Tests for the discrete-event queue, the simulation log and the
 // co-simulator on the MiniSystem fixture.
 #include <gtest/gtest.h>
 
 #include "fixtures.hpp"
+#include "sim/event.hpp"
 #include "sim/simulator.hpp"
 
 using namespace tut;
 using namespace tut::sim;
 
 // ---------------------------------------------------------------------------
-// Kernel
+// Kernel: the discrete-event kernel is the EventQueue the simulator polls
 // ---------------------------------------------------------------------------
 
+namespace {
+
+EventRec tagged(std::uint32_t id) { return {EventRec::Kind::Inject, id}; }
+
+/// Polls `q` up to `horizon`, returning the dispatched ids in order.
+std::vector<std::uint32_t> drain(EventQueue& q, Time horizon) {
+  std::vector<std::uint32_t> order;
+  EventRec ev;
+  while (q.poll(horizon, ev)) order.push_back(ev.a);
+  return order;
+}
+
+}  // namespace
+
 TEST(Kernel, RunsEventsInTimeOrder) {
-  Kernel k;
-  std::vector<int> order;
-  k.schedule_at(30, [&] { order.push_back(3); });
-  k.schedule_at(10, [&] { order.push_back(1); });
-  k.schedule_at(20, [&] { order.push_back(2); });
-  EXPECT_EQ(k.run(100), 3u);
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-  EXPECT_EQ(k.now(), 100u);
+  EventQueue q;
+  q.schedule_at(30, tagged(3));
+  q.schedule_at(10, tagged(1));
+  q.schedule_at(20, tagged(2));
+  EXPECT_EQ(drain(q, 100), (std::vector<std::uint32_t>{1, 2, 3}));
+  EXPECT_EQ(q.dispatched(), 3u);
+  EXPECT_EQ(q.now(), 100u);
 }
 
 TEST(Kernel, SimultaneousEventsAreFifo) {
-  Kernel k;
-  std::vector<int> order;
-  for (int i = 0; i < 8; ++i) {
-    k.schedule_at(5, [&order, i] { order.push_back(i); });
-  }
-  k.run(5);
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7}));
+  EventQueue q;
+  for (std::uint32_t i = 0; i < 8; ++i) q.schedule_at(5, tagged(i));
+  EXPECT_EQ(drain(q, 5),
+            (std::vector<std::uint32_t>{0, 1, 2, 3, 4, 5, 6, 7}));
 }
 
 TEST(Kernel, HandlersMayScheduleMoreEvents) {
-  Kernel k;
+  EventQueue q;
   int count = 0;
-  std::function<void()> tick = [&] {
-    ++count;
-    if (count < 5) k.schedule_in(10, tick);
-  };
-  k.schedule_at(0, tick);
-  k.run(1000);
+  q.schedule_at(0, tagged(0));
+  EventRec ev;
+  while (q.poll(1000, ev)) {
+    if (++count < 5) q.schedule_in(10, tagged(0));
+  }
   EXPECT_EQ(count, 5);
-  EXPECT_EQ(k.dispatched(), 5u);
+  EXPECT_EQ(q.dispatched(), 5u);
+  EXPECT_EQ(q.now(), 1000u);
 }
 
 TEST(Kernel, HorizonStopsExecution) {
-  Kernel k;
-  int count = 0;
-  k.schedule_at(10, [&] { ++count; });
-  k.schedule_at(20, [&] { ++count; });
-  k.run(15);
-  EXPECT_EQ(count, 1);
-  EXPECT_EQ(k.pending(), 1u);
+  EventQueue q;
+  q.schedule_at(10, tagged(1));
+  q.schedule_at(20, tagged(2));
+  EXPECT_EQ(drain(q, 15), (std::vector<std::uint32_t>{1}));
+  EXPECT_EQ(q.pending(), 1u);
   // Event exactly at the horizon runs.
-  k.run(20);
-  EXPECT_EQ(count, 2);
+  EXPECT_EQ(drain(q, 20), (std::vector<std::uint32_t>{2}));
 }
 
 TEST(Kernel, SchedulingInThePastThrows) {
-  Kernel k;
-  k.schedule_at(50, [] {});
-  k.run(100);
+  EventQueue q;
+  q.schedule_at(50, tagged(0));
+  drain(q, 100);
+#ifdef NDEBUG  // debug builds assert instead
   try {
-    k.schedule_at(50, [] {});
+    q.schedule_at(50, tagged(1));
     FAIL() << "expected std::logic_error";
   } catch (const std::logic_error& e) {
     // The diagnostic names both times so the offending call is findable.
@@ -72,40 +81,44 @@ TEST(Kernel, SchedulingInThePastThrows) {
     EXPECT_NE(msg.find("at=50"), std::string::npos) << msg;
     EXPECT_NE(msg.find("now=100"), std::string::npos) << msg;
   }
+#endif
   // Scheduling exactly at now() stays legal.
-  k.schedule_at(100, [] {});
+  q.schedule_at(100, tagged(2));
+  EXPECT_EQ(q.pending(), 1u);
 }
 
 TEST(Kernel, NoDoubleDispatchAtHorizon) {
-  Kernel k;
-  int count = 0;
   // An event exactly at the horizon that schedules a zero-delay child: both
-  // must run in this run() call, and a second run() at the same horizon must
-  // not re-dispatch either of them.
-  k.schedule_at(100, [&] {
-    ++count;
-    k.schedule_at(100, [&] { ++count; });
-  });
-  EXPECT_EQ(k.run(100), 2u);
-  EXPECT_EQ(count, 2);
-  EXPECT_EQ(k.run(100), 0u);
-  EXPECT_EQ(count, 2);
-  EXPECT_TRUE(k.empty());
+  // must run in this drain, and a second drain at the same horizon must not
+  // re-dispatch either of them.
+  EventQueue q;
+  q.schedule_at(100, tagged(1));
+  std::vector<std::uint32_t> order;
+  EventRec ev;
+  while (q.poll(100, ev)) {
+    order.push_back(ev.a);
+    if (ev.a == 1) q.schedule_at(100, tagged(2));
+  }
+  EXPECT_EQ(order, (std::vector<std::uint32_t>{1, 2}));
+  EXPECT_TRUE(drain(q, 100).empty());
+  EXPECT_EQ(q.dispatched(), 2u);
+  EXPECT_TRUE(q.empty());
 }
 
 TEST(Kernel, ZeroDelayRunsAfterSameTimeHeapEvents) {
-  // Scheduling order across the heap and the same-time fast path must stay
+  // Scheduling order across the heap and the same-time bucket must stay
   // exact (time, seq) FIFO: events scheduled earlier for time t run before
   // zero-delay events created at time t.
-  Kernel k;
-  std::vector<int> order;
-  k.schedule_at(10, [&] {
-    order.push_back(1);
-    k.schedule_at(10, [&] { order.push_back(3); });  // created at t=10
-  });
-  k.schedule_at(10, [&] { order.push_back(2); });  // scheduled before t=10
-  k.run(100);
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+  EventQueue q;
+  q.schedule_at(10, tagged(1));
+  q.schedule_at(10, tagged(2));  // scheduled before t=10
+  std::vector<std::uint32_t> order;
+  EventRec ev;
+  while (q.poll(100, ev)) {
+    order.push_back(ev.a);
+    if (ev.a == 1) q.schedule_at(10, tagged(3));  // created at t=10
+  }
+  EXPECT_EQ(order, (std::vector<std::uint32_t>{1, 2, 3}));
 }
 
 // ---------------------------------------------------------------------------
@@ -430,6 +443,17 @@ TEST(SimErrors, AllDefectsAreReportedInOneDiagnostic) {
     EXPECT_NE(msg.find("'orphan'"), std::string::npos) << msg;
     EXPECT_NE(msg.find("'mute'"), std::string::npos) << msg;
   }
+}
+
+TEST(SimErrors, MalformedExpressionThrowsAtConstruction) {
+  // Behaviours are lowered to bytecode when the Simulation is built, so bad
+  // guard text fails here, before any event runs.
+  test::MiniSystem sys;
+  auto& sm = *sys.crc_comp->behavior();
+  auto& idle = *sm.states().front();
+  sys.model.add_transition(sm, idle, idle, *sys.rsp, "in").set_guard("1 +");
+  mapping::SystemView view(sys.model);
+  EXPECT_THROW((Simulation{view}), efsm::ExprError);
 }
 
 TEST(SimInject, AfterRunAcceptsFutureRejectsPast) {

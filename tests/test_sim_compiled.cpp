@@ -1,16 +1,17 @@
-// Tests for the compiled simulation core: EventQueue ordering vs the
-// closure Kernel, CompiledModel lowering, byte-identical logs between the
-// AST and bytecode simulation paths over the TUTMAC case study (with and
-// without a fault plan), and BatchRunner determinism across thread counts.
+// Tests for the compiled simulation core: EventQueue ordering,
+// CompiledModel lowering, golden TUTMAC logs and statistics (with and
+// without a fault plan) on both Simulation constructors, and BatchRunner
+// determinism across thread counts.
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/batch.hpp"
+#include "sim/campaign.hpp"
 #include "sim/compiled.hpp"
 #include "sim/event.hpp"
-#include "sim/kernel.hpp"
 #include "sim/simulator.hpp"
 #include "tutmac/tutmac.hpp"
 
@@ -18,73 +19,41 @@ using namespace tut;
 using namespace tut::sim;
 
 // ---------------------------------------------------------------------------
-// EventQueue vs Kernel
+// EventQueue
 // ---------------------------------------------------------------------------
 
-namespace {
-
-/// Replays the same schedule on a Kernel and an EventQueue and returns both
-/// dispatch orders. Events are identified by their EventRec::a payload.
-struct DualSchedule {
-  Kernel kernel;
+TEST(EventQueue, OrderingMatchesKernel) {
+  // The pinned (time, seq) dispatch order.
   EventQueue queue;
-  std::vector<std::uint32_t> kernel_order;
-
-  void at(Time t, std::uint32_t id) {
-    kernel.schedule_at(t, [this, id]() { kernel_order.push_back(id); });
+  const std::pair<Time, std::uint32_t> schedule[] = {
+      {50, 1}, {10, 2}, {50, 3},  // 3: same time as 1, FIFO by schedule
+      {10, 4}, {0, 5},            // 5: due immediately (now == 0): bucket
+      {30, 6}};
+  for (const auto& [t, id] : schedule) {
     queue.schedule_at(t, {EventRec::Kind::Inject, id});
   }
-
-  std::vector<std::uint32_t> drain(Time horizon) {
-    kernel.run(horizon);
-    std::vector<std::uint32_t> queue_order;
-    EventRec ev;
-    while (queue.poll(horizon, ev)) queue_order.push_back(ev.a);
-    EXPECT_EQ(kernel.now(), queue.now());
-    EXPECT_EQ(kernel.dispatched(), queue.dispatched());
-    return queue_order;
-  }
-};
-
-}  // namespace
-
-TEST(EventQueue, OrderingMatchesKernel) {
-  DualSchedule d;
-  d.at(50, 1);
-  d.at(10, 2);
-  d.at(50, 3);  // same time as 1: FIFO by schedule order
-  d.at(10, 4);
-  d.at(0, 5);   // due immediately (now == 0): bucket
-  d.at(30, 6);
-  const auto order = d.drain(100);
-  EXPECT_EQ(order, d.kernel_order);
+  std::vector<std::uint32_t> order;
+  EventRec ev;
+  while (queue.poll(100, ev)) order.push_back(ev.a);
   EXPECT_EQ(order, (std::vector<std::uint32_t>{5, 2, 4, 6, 1, 3}));
+  EXPECT_EQ(queue.now(), 100u);
+  EXPECT_EQ(queue.dispatched(), 6u);
 }
 
 TEST(EventQueue, HeapBeforeBucketAtSameInstant) {
   // An event scheduled for time T before time advances (heap) must precede
-  // one scheduled at T when now == T (bucket) — Kernel's seq order.
-  Kernel kernel;
+  // one scheduled at T when now == T (bucket): seq order.
   EventQueue queue;
-  std::vector<int> kernel_order;
-  std::vector<int> queue_order;
-  kernel.schedule_at(10, [&]() {
-    kernel.schedule_at(10, [&]() { kernel_order.push_back(2); });
-    kernel_order.push_back(1);
-  });
-  kernel.schedule_at(10, [&]() { kernel_order.push_back(3); });
-  kernel.run(20);
-
+  std::vector<int> order;
   queue.schedule_at(10, {EventRec::Kind::Inject, 1});
   queue.schedule_at(10, {EventRec::Kind::Inject, 3});
   EventRec ev;
   while (queue.poll(20, ev)) {
-    queue_order.push_back(static_cast<int>(ev.a));
+    order.push_back(static_cast<int>(ev.a));
     if (ev.a == 1) queue.schedule_at(10, {EventRec::Kind::Inject, 2});
   }
-  EXPECT_EQ(kernel_order, (std::vector<int>{1, 3, 2}));
-  EXPECT_EQ(queue_order, kernel_order);
-  EXPECT_EQ(queue.now(), kernel.now());
+  EXPECT_EQ(order, (std::vector<int>{1, 3, 2}));
+  EXPECT_EQ(queue.now(), 20u);
 }
 
 TEST(EventQueue, SchedulingIntoThePastThrows) {
@@ -134,13 +103,16 @@ TEST(CompiledModel, LowersTutmacStructure) {
   const auto sys = make_tutmac(1'000'000);
   mapping::SystemView view(*sys.model);
   const auto model = CompiledModel::build(view);
-  EXPECT_TRUE(model->has_machines());
   EXPECT_EQ(model->pes().size(), view.plat().instances().size());
   EXPECT_EQ(model->segs().size(), view.plat().segments().size());
   EXPECT_EQ(model->procs().size(), view.app().processes().size());
   EXPECT_GE(model->proc_index("rca"), 0);
   EXPECT_GE(model->pe_index("processor1"), 0);
   EXPECT_EQ(model->proc_index("nosuch"), -1);
+  for (const auto& proc : model->procs()) {
+    ASSERT_NE(proc.machine, nullptr) << proc.name;
+    EXPECT_EQ(&proc.machine->source(), proc.behavior) << proc.name;
+  }
   // Processes on distinct PEs have a route.
   const auto& crc = model->procs()[model->proc_index("crc")];
   const auto& rca = model->procs()[model->proc_index("rca")];
@@ -149,92 +121,149 @@ TEST(CompiledModel, LowersTutmacStructure) {
 }
 
 // ---------------------------------------------------------------------------
-// Byte-identical logs: AST path vs compiled path
+// Golden TUTMAC logs and statistics
 // ---------------------------------------------------------------------------
+//
+// The digests, sizes and statistics below were recorded from the reference
+// AST walker that used to back Simulation(SystemView), when it was checked
+// byte for byte against the bytecode interpreter. They pin the interpreter
+// now that it is the only one; the native backend is held to the
+// interpreter by test_native.
 
 namespace {
 
-/// Runs the TUTMAC workload on the given path and returns the rendered log.
-std::string run_ast(const tutmac::System& sys, const mapping::SystemView& view,
-                    const Config& config) {
-  Simulation simulation(view, config);
+struct Golden {
+  std::uint64_t digest;
+  std::size_t bytes;
+  std::size_t records;
+  std::uint64_t events;
+};
+
+/// Runs the TUTMAC workload on `simulation` and checks its log against
+/// `golden`; returns the rendered log.
+std::string run_checked(const tutmac::System& sys, Simulation& simulation,
+                        const Golden& golden) {
   sys.inject_workload(simulation);
   simulation.run();
-  return simulation.log().to_text();
+  const std::string text = simulation.log().to_text();
+  EXPECT_EQ(log_digest(simulation.log()), golden.digest);
+  EXPECT_EQ(text.size(), golden.bytes);
+  EXPECT_EQ(simulation.log().size(), golden.records);
+  EXPECT_EQ(simulation.events_dispatched(), golden.events);
+  return text;
 }
 
-std::string run_compiled(const tutmac::System& sys,
-                         std::shared_ptr<const CompiledModel> model,
-                         const Config& config) {
-  Simulation simulation(std::move(model), config);
-  sys.inject_workload(simulation);
-  simulation.run();
-  return simulation.log().to_text();
+/// Both constructors (SystemView and shared CompiledModel) reproduce the
+/// golden log, byte-identical to each other.
+void expect_golden(Time horizon, const FaultPlan& plan, const Golden& golden) {
+  const auto sys = make_tutmac(horizon);
+  mapping::SystemView view(*sys.model);
+  Config config;
+  config.horizon = sys.options.horizon;
+  config.faults = plan;
+
+  Simulation from_view(view, config);
+  const std::string a = run_checked(sys, from_view, golden);
+  Simulation from_model(CompiledModel::build(view), config);
+  const std::string b = run_checked(sys, from_model, golden);
+  EXPECT_EQ(a, b);
+}
+
+struct PeGolden {
+  const char* name;
+  Time busy_time;
+  std::uint64_t steps;
+  std::uint64_t dispatched;
+};
+
+struct SegGolden {
+  const char* name;
+  std::uint64_t grants;
+  std::uint64_t transfers;
+  Time busy_time;
+};
+
+void expect_stats(const Simulation& simulation,
+                  const std::vector<PeGolden>& pes,
+                  const std::vector<SegGolden>& segs) {
+  ASSERT_EQ(simulation.pe_stats().size(), pes.size());
+  for (const PeGolden& g : pes) {
+    const PeStats& s = simulation.pe_stats().at(g.name);
+    EXPECT_EQ(s.busy_time, g.busy_time) << g.name;
+    EXPECT_EQ(s.steps, g.steps) << g.name;
+    EXPECT_EQ(s.dispatched, g.dispatched) << g.name;
+  }
+  ASSERT_EQ(simulation.segment_stats().size(), segs.size());
+  for (const SegGolden& g : segs) {
+    const SegmentStats& s = simulation.segment_stats().at(g.name);
+    EXPECT_EQ(s.grants, g.grants) << g.name;
+    EXPECT_EQ(s.transfers, g.transfers) << g.name;
+    EXPECT_EQ(s.busy_time, g.busy_time) << g.name;
+  }
 }
 
 }  // namespace
 
 TEST(CompiledSim, TutmacLogByteIdentical) {
-  const auto sys = make_tutmac(3'000'000);
-  mapping::SystemView view(*sys.model);
-  Config config;
-  config.horizon = sys.options.horizon;
-
-  const std::string ast_log = run_ast(sys, view, config);
-  const std::string compiled_log =
-      run_compiled(sys, CompiledModel::build(view), config);
-  ASSERT_FALSE(ast_log.empty());
-  EXPECT_EQ(ast_log, compiled_log);
+  expect_golden(3'000'000, FaultPlan{},
+                {0x75a6444701943260ull, 3114, 116, 75});
+  expect_golden(20'000'000, FaultPlan{},
+                {0xc0f58b9cc41bb102ull, 28676, 1008, 662});
 }
 
 TEST(CompiledSim, TutmacLogByteIdenticalUnderFaults) {
-  const auto sys = make_tutmac(3'000'000);
+  expect_golden(3'000'000, stress_plan(),
+                {0xc687dc9dc81ed8f7ull, 3085, 116, 74});
+  expect_golden(20'000'000, stress_plan(),
+                {0xeb232cba74f342bdull, 28703, 1011, 694});
+}
+
+TEST(CompiledSim, StatsMatchAstPath) {
+  {
+    const auto sys = make_tutmac(2'000'000);
+    mapping::SystemView view(*sys.model);
+    Simulation simulation(view, Config{.horizon = sys.options.horizon});
+    sys.inject_workload(simulation);
+    simulation.run();
+    EXPECT_EQ(simulation.events_dispatched(), 48u);
+    expect_stats(simulation,
+                 {{"accelerator1", 0, 1, 1},
+                  {"processor1", 1'512'000, 26, 26},
+                  {"processor2", 0, 2, 2},
+                  {"processor3", 0, 0, 0}},
+                 {{"bridge", 0, 0, 0},
+                  {"hibisegment1", 0, 0, 0},
+                  {"hibisegment2", 0, 0, 0}});
+  }
+  // Long enough for inter-PE traffic on every segment, under the fault
+  // plan (retries show up as grants without a completed transfer).
+  const auto sys = make_tutmac(20'000'000);
   mapping::SystemView view(*sys.model);
   Config config;
   config.horizon = sys.options.horizon;
   config.faults = stress_plan();
-
-  const std::string ast_log = run_ast(sys, view, config);
-  const std::string compiled_log =
-      run_compiled(sys, CompiledModel::build(view), config);
-  ASSERT_FALSE(ast_log.empty());
-  EXPECT_EQ(ast_log, compiled_log);
+  Simulation simulation(CompiledModel::build(view), config);
+  sys.inject_workload(simulation);
+  simulation.run();
+  expect_stats(simulation,
+               {{"accelerator1", 12'000, 9, 9},
+                {"processor1", 16'188'000, 294, 294},
+                {"processor2", 750'000, 27, 27},
+                {"processor3", 0, 0, 0}},
+               {{"bridge", 16, 16, 1'760},
+                {"hibisegment1", 66, 41, 10'260},
+                {"hibisegment2", 17, 16, 1'800}});
 }
 
-TEST(CompiledSim, StatsMatchAstPath) {
-  const auto sys = make_tutmac(2'000'000);
-  mapping::SystemView view(*sys.model);
-  Config config;
-  config.horizon = sys.options.horizon;
-
-  Simulation ast_sim(view, config);
-  sys.inject_workload(ast_sim);
-  ast_sim.run();
-
-  Simulation compiled_sim(CompiledModel::build(view), config);
-  sys.inject_workload(compiled_sim);
-  compiled_sim.run();
-
-  EXPECT_EQ(ast_sim.events_dispatched(), compiled_sim.events_dispatched());
-  ASSERT_EQ(ast_sim.pe_stats().size(), compiled_sim.pe_stats().size());
-  for (const auto& [name, stats] : ast_sim.pe_stats()) {
-    const PeStats& other = compiled_sim.pe_stats().at(name);
-    EXPECT_EQ(stats.busy_time, other.busy_time) << name;
-    EXPECT_EQ(stats.steps, other.steps) << name;
-    EXPECT_EQ(stats.dispatched, other.dispatched) << name;
-  }
-  for (const auto& [name, stats] : ast_sim.segment_stats()) {
-    const SegmentStats& other = compiled_sim.segment_stats().at(name);
-    EXPECT_EQ(stats.grants, other.grants) << name;
-    EXPECT_EQ(stats.busy_time, other.busy_time) << name;
-  }
-}
-
-TEST(CompiledSim, InstanceAccessorRequiresAstPath) {
+TEST(CompiledSim, InstanceAccessorReadsInterpreterState) {
   const auto sys = make_tutmac(100'000);
   mapping::SystemView view(*sys.model);
   Simulation simulation(CompiledModel::build(view), Config{});
-  EXPECT_THROW((void)simulation.instance("rca"), std::logic_error);
+  EXPECT_FALSE(simulation.instance("rca").started());
+  simulation.run();
+  const efsm::CompiledInstance& rca = simulation.instance("rca");
+  EXPECT_TRUE(rca.started());
+  EXPECT_FALSE(rca.state_name().empty());
   EXPECT_THROW((void)simulation.instance("nosuch"), std::out_of_range);
 }
 
@@ -297,7 +326,10 @@ TEST(BatchRunner, MatchesSingleSimulationLog) {
 
   Config config;
   config.horizon = sys.options.horizon;
-  const std::string direct = run_compiled(sys, model, config);
+  Simulation simulation(model, config);
+  sys.inject_workload(simulation);
+  simulation.run();
+  const std::string direct = simulation.log().to_text();
 
   BatchScenario scenario;
   scenario.name = "only";
@@ -310,7 +342,7 @@ TEST(BatchRunner, MatchesSingleSimulationLog) {
   ASSERT_EQ(results.size(), 1u);
   EXPECT_TRUE(results[0].error.empty()) << results[0].error;
   EXPECT_EQ(results[0].log_text, direct);
-  EXPECT_EQ(results[0].log_hash, BatchRunner::hash_text(direct));
+  EXPECT_EQ(results[0].log_hash, log_digest(simulation.log()));
 }
 
 TEST(BatchRunner, ReportsScenarioErrorsWithoutThrowing) {

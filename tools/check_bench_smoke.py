@@ -1,16 +1,17 @@
 #!/usr/bin/env python3
 """Bench smoke check for the compiled simulation core.
 
-Reads a Google Benchmark JSON report (bench_kernel_micro run with
---benchmark_format=json; a leading text banner is tolerated) and compares it
-against the medians checked into BENCH_sim.json:
+Reads one or more Google Benchmark JSON reports (bench binaries run with
+--benchmark_format=json; a leading text banner is tolerated), merges their
+medians and compares them against the medians checked into a BENCH_*.json
+baseline:
 
   * every benchmark listed under "smoke_medians" must be present and at most
     --tolerance (default 25%) slower than its checked-in median; an entry may
     carry its own "tolerance" (fractional, e.g. 0.35) overriding the flag —
     macro benches wobble more than the micro ones;
-  * every pair under "smoke_min_speedups" (closure-vs-POD kernel,
-    AST-vs-bytecode EFSM, bytecode-vs-native) must keep at least its
+  * every pair under "smoke_min_speedups" (AST-vs-bytecode expression
+    evaluation, bytecode-vs-native) must keep at least its
     minimum speedup — this is machine-independent, so it holds even when
     the runner is faster or slower than the box that produced the absolute
     numbers. A pair may carry an optional "tolerance" (fractional): the
@@ -59,7 +60,8 @@ def medians_ns(report):
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("report", help="benchmark JSON output")
+    ap.add_argument("report", nargs="+",
+                    help="benchmark JSON output(s), merged by benchmark name")
     ap.add_argument("--baseline", default="BENCH_sim.json")
     ap.add_argument("--tolerance", type=float, default=0.25,
                     help="allowed fractional slowdown vs checked-in medians")
@@ -84,17 +86,19 @@ def main():
               f"{type(baseline).__name__}", file=sys.stderr)
         return 2
 
-    try:
-        measured = medians_ns(load_report(args.report))
-    except OSError as e:
-        print(f"check_bench_smoke: [bench.report.missing] cannot read "
-              f"report '{args.report}': {e}", file=sys.stderr)
-        return 2
-    except (ValueError, KeyError, TypeError) as e:
-        print(f"check_bench_smoke: [bench.report.malformed] "
-              f"'{args.report}' is not a benchmark JSON report: {e}",
-              file=sys.stderr)
-        return 2
+    measured = {}
+    for report in args.report:
+        try:
+            measured.update(medians_ns(load_report(report)))
+        except OSError as e:
+            print(f"check_bench_smoke: [bench.report.missing] cannot read "
+                  f"report '{report}': {e}", file=sys.stderr)
+            return 2
+        except (ValueError, KeyError, TypeError) as e:
+            print(f"check_bench_smoke: [bench.report.malformed] "
+                  f"'{report}' is not a benchmark JSON report: {e}",
+                  file=sys.stderr)
+            return 2
 
     failures = []
     try:

@@ -571,7 +571,7 @@ int cmd_simulate_tutmac(const std::string& outdir, long horizon_ms,
       sys.inject_workload(check);
       check.run();
       log_text = check.log().to_text();
-      const auto check_hash = sim::BatchRunner::hash_text(log_text);
+      const auto check_hash = sim::fnv1a(log_text);
       std::cout << "determinism check: "
                 << (check_hash == results[0].log_hash ? "ok" : "MISMATCH")
                 << '\n';
